@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -117,6 +118,86 @@ func TestClientDisconnectFreesLimiterSlot(t *testing.T) {
 	defer cancel3()
 	if code := postJSONCtx(ctx3, h, "/select", body).Code; code != http.StatusGatewayTimeout {
 		t.Fatalf("request after slot freed: status %d, want 504 (admitted, then its own deadline)", code)
+	}
+}
+
+// TestTimeoutDuringSelfProfiling pins the inline deadline on a wait
+// other than the test slowdown: a /predict for an app the store has no
+// profile for blocks in the detached self-profiling build, and must
+// still answer the JSON 504 envelope at its deadline — with the request
+// ID, the deadline counter moved and its limiter slot released. The
+// build carries on without it, and once it completes the same app
+// answers 200: the abandoned request did not poison the shared result.
+func TestTimeoutDuringSelfProfiling(t *testing.T) {
+	s, err := New(Options{
+		Store:          testStore(t),
+		MaxInFlight:    1,
+		RequestTimeout: 30 * time.Millisecond,
+		BaseBytes:      8 * units.MB,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock()
+	s.harness.SetObserver(func(core.Profile) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release
+	})
+	deadlines := metrics.GetCounter("fg_requests_deadline_exceeded_total",
+		"Requests that exhausted the per-request deadline budget and answered 504, by endpoint.",
+		metrics.Label{Key: "path", Value: "/predict"})
+	before := deadlines.Value()
+
+	// em is absent from the test store, so /predict self-profiles it.
+	body := `{"app":"em","config":{"cluster":"pentium-myrinet","dataNodes":1,"computeNodes":1,"bandwidth":"100MB","datasetBytes":"512MB"}}`
+	h := s.Handler()
+	answered := make(chan *httptest.ResponseRecorder, 1)
+	go func() { answered <- postJSON(t, h, "/predict", body) }()
+	var rec *httptest.ResponseRecorder
+	select {
+	case rec = <-answered:
+	case <-time.After(time.Second):
+		unblock()
+		t.Fatal("no answer within 1s of a 30ms deadline")
+	}
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", rec.Code, rec.Body)
+	}
+	var e apiError
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatalf("504 body is not a JSON envelope: %v\n%s", err, rec.Body)
+	}
+	if id := rec.Header().Get("X-FG-Request-ID"); id == "" || e.RequestID != id || e.Status != http.StatusGatewayTimeout {
+		t.Fatalf("envelope %+v vs header ID %q: want a 504 carrying the header's ID", e, id)
+	}
+	if after := deadlines.Value(); after != before+1 {
+		t.Fatalf("deadline counter moved %v -> %v, want +1", before, after)
+	}
+	if s.lim.saturated() {
+		t.Fatal("limiter slot still held after the request answered")
+	}
+
+	// The build outlives the request: it reaches the observer (and
+	// blocks there) even though nobody waits for it any more.
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("self-profiling never reached the observer")
+	}
+	unblock()
+	waitFor(t, 10*time.Second, func() bool {
+		_, _, known := s.store.Snapshot().Find("em")
+		return known
+	})
+	if rec := postJSON(t, h, "/predict", body); rec.Code != http.StatusOK {
+		t.Fatalf("after the build completed: status %d, want 200: %s", rec.Code, rec.Body)
 	}
 }
 

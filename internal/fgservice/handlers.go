@@ -270,10 +270,7 @@ type encodeState struct {
 
 var encodeStates = sync.Pool{New: func() any {
 	st := new(encodeState)
-	// Encoder+SetIndent (not MarshalIndent) keeps the historical wire
-	// bytes: two-space indent and a trailing newline.
 	st.enc = json.NewEncoder(&st.buf)
-	st.enc.SetIndent("", "  ")
 	return st
 }}
 
@@ -294,7 +291,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	if err := st.enc.Encode(v); err != nil {
 		encodeFailures.Inc()
 		st.buf.Reset()
-		fmt.Fprintf(&st.buf, "{\n  \"error\": %q,\n  \"status\": 500\n}\n",
+		fmt.Fprintf(&st.buf, "{\"error\":%q,\"status\":500}\n",
 			"encoding response: "+err.Error())
 		status = http.StatusInternalServerError
 	}
@@ -314,9 +311,8 @@ func writeJSONCtx(ctx context.Context, w http.ResponseWriter, status int, v any)
 }
 
 // writeError renders the error envelope. The request ID comes from the
-// response header the middleware stamped before the handler ran — both
-// the real ResponseWriter and the buffered one carry it — so every
-// envelope (including the middleware's own 499/504 ones) correlates.
+// response header the middleware stamped before the handler ran, so
+// every envelope (including the 499/504 ones) correlates.
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, apiError{
 		Error:     err.Error(),

@@ -1,7 +1,6 @@
 package fgservice
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -49,51 +48,27 @@ func (l *limiter) release() { <-l.slots }
 // /healthz uses to report degraded state while load is being shed.
 func (l *limiter) saturated() bool { return len(l.slots) == cap(l.slots) }
 
-// bufferedResponse is the private ResponseWriter a handler goroutine
-// renders into. The middleware goroutine owns the real ResponseWriter:
-// it either flushes the buffer after the handler finishes, or abandons
-// the buffer and answers the timeout/cancel envelope itself. The two
-// goroutines never touch the buffer concurrently — the handler's last
-// write happens-before the flush (channel close), and an abandoned
-// buffer is only ever written by the handler.
-type bufferedResponse struct {
-	header http.Header
-	buf    bytes.Buffer
+// statusWriter is the ResponseWriter a handler renders into: it passes
+// everything through to the real writer and remembers the status, so
+// the middleware's error, latency, 499/504 counters and the trace ring
+// see the outcome after the handler returns.
+type statusWriter struct {
+	http.ResponseWriter
 	status int
 }
 
-func newBufferedResponse() *bufferedResponse {
-	return &bufferedResponse{header: make(http.Header)}
+func (sw *statusWriter) WriteHeader(code int) {
+	if sw.status == 0 {
+		sw.status = code
+	}
+	sw.ResponseWriter.WriteHeader(code)
 }
 
-func (b *bufferedResponse) Header() http.Header { return b.header }
-
-func (b *bufferedResponse) WriteHeader(code int) {
-	if b.status == 0 {
-		b.status = code
+func (sw *statusWriter) Write(p []byte) (int, error) {
+	if sw.status == 0 {
+		sw.status = http.StatusOK
 	}
-}
-
-func (b *bufferedResponse) Write(p []byte) (int, error) {
-	if b.status == 0 {
-		b.status = http.StatusOK
-	}
-	return b.buf.Write(p)
-}
-
-// flush copies the buffered response onto the real writer and reports
-// the status it carried.
-func (b *bufferedResponse) flush(w http.ResponseWriter) int {
-	if b.status == 0 {
-		b.status = http.StatusOK
-	}
-	dst := w.Header()
-	for k, vs := range b.header {
-		dst[k] = vs
-	}
-	w.WriteHeader(b.status)
-	_, _ = w.Write(b.buf.Bytes())
-	return b.status
+	return sw.ResponseWriter.Write(p)
 }
 
 // instrument wraps one endpoint with method filtering, the concurrency
@@ -101,14 +76,14 @@ func (b *bufferedResponse) flush(w http.ResponseWriter) int {
 // load), deadline/cancellation propagation, the test-only slowdown, and
 // per-endpoint request metrics.
 //
-// Every admitted request runs its handler under a context derived from
-// the client's (so a disconnect cancels it) bounded by the server's
-// RequestTimeout budget. The handler renders into a private buffer on
-// its own goroutine; if the context ends first, the middleware answers
-// the JSON timeout/cancel envelope immediately and the handler — whose
-// context is the same, now-canceled one — unwinds cooperatively,
-// releasing its limiter slot the moment it returns rather than holding
-// it for a full computation nobody is waiting on.
+// Every admitted request runs its handler inline, under a context
+// derived from the client's (so a disconnect cancels it) bounded by the
+// server's RequestTimeout budget. The deadline is enforced
+// cooperatively: every blocking wait on the serve path selects on that
+// context, so a handler whose request dies mid-wait answers the JSON
+// 499/504 envelope itself through errorStatus and returns, releasing
+// its limiter slot at once rather than holding it for a computation
+// nobody is waiting on.
 func (s *Server) instrument(path string, lim *limiter, method string, h http.HandlerFunc) http.Handler {
 	label := metrics.Label{Key: "path", Value: path}
 	requests := metrics.GetCounter("fg_http_requests_total",
@@ -148,11 +123,23 @@ func (s *Server) instrument(path string, lim *limiter, method string, h http.Han
 			writeError(w, http.StatusServiceUnavailable, errOverloaded)
 			return
 		}
+		// Taken before the trace starts, so every span (the handler
+		// span included) lies inside the root window the trace is
+		// finished with.
+		start := time.Now()
 		ctx, cancelReq := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
+		inflight.Add(1)
+		defer func() {
+			if lim != nil {
+				lim.release()
+			}
+			inflight.Add(-1)
+			cancelReq()
+		}()
 		// Tracing rides only the bounded endpoints (the ones doing real
 		// work) and only when sampling selects the request; the ID above
-		// is unconditional. The middleware selects on ctx — the trace
-		// context derives from it, so the deadline is shared.
+		// is unconditional. The trace context derives from ctx, so the
+		// deadline is shared.
 		var tr *reqtrace.Trace
 		hctx := ctx
 		var hspan reqtrace.Span
@@ -161,74 +148,27 @@ func (s *Server) instrument(path string, lim *limiter, method string, h http.Han
 			hctx = reqtrace.WithTrace(ctx, tr)
 			hctx, hspan = reqtrace.StartSpan(hctx, "handler")
 		}
-		r = r.WithContext(hctx)
-		inflight.Add(1)
-		start := time.Now()
 
-		br := newBufferedResponse()
-		br.header[reqtrace.Header] = idv
-		done := make(chan struct{})
-		go func() {
-			defer func() {
-				// Released here — not in the middleware — so the slot and
-				// inflight gauge track the handler's actual lifetime even
-				// when the middleware answered early. A cooperative handler
-				// unwinds promptly once ctx ends, so an abandoned request
-				// frees its slot in microseconds, not at the full deadline.
-				if lim != nil {
-					lim.release()
-				}
-				inflight.Add(-1)
-				cancelReq()
-			}()
-			// Registered after the release defer so it runs before it
-			// (LIFO): done must close before cancelReq fires, or the
-			// middleware could observe the release's own cancellation and
-			// misreport a completed request as canceled.
-			defer close(done)
-			// The test-only slowdown models handler work, which only the
-			// bounded endpoints do; a delayed health probe would observe the
-			// world after the load it is meant to report has drained. It is
-			// context-aware like any other handler work.
-			if s.delay > 0 && lim != nil {
-				select {
-				case <-time.After(s.delay):
-				case <-ctx.Done():
-					// The request died mid-delay: running the handler now
-					// would do real work — cache fills, profiling runs — on
-					// behalf of nobody, perturbing shared state long after
-					// the middleware has answered. Render the same envelope
-					// a cooperative handler would and unwind.
-					err := ctx.Err()
-					writeError(br, errorStatus(err), err)
-					hspan.End()
-					return
-				}
-			}
-			h(br, r)
-			hspan.End()
-		}()
-
-		var status int
-		select {
-		case <-done:
-			status = br.flush(w)
-		case <-ctx.Done():
-			select {
-			case <-done:
-				// The handler finished in the same instant the context
-				// ended; its complete response wins — it is already paid
-				// for and still deliverable.
-				status = br.flush(w)
-			default:
-				// The handler is still running against the same canceled
-				// context; its buffered output is abandoned, never flushed.
-				err := ctx.Err()
-				status = errorStatus(err)
-				writeError(w, status, err)
-			}
+		sw := &statusWriter{ResponseWriter: w}
+		// The test-only slowdown models handler work, which only the
+		// bounded endpoints do; a delayed health probe would observe the
+		// world after the load it is meant to report has drained. It is
+		// context-aware like any other handler work: a request that dies
+		// mid-delay answers the envelope instead of running the handler,
+		// which would do real work — cache fills, profiling runs — on
+		// behalf of nobody.
+		if err := s.slowdown(ctx, lim != nil); err != nil {
+			writeError(sw, errorStatus(err), err)
+		} else {
+			h(sw, r.WithContext(hctx))
 		}
+		hspan.End()
+
 		elapsed := time.Since(start)
+		status := sw.status
+		if status == 0 {
+			status = http.StatusOK
+		}
 		latency.Observe(elapsed.Seconds())
 		if status >= 400 {
 			errs.Inc()
@@ -247,6 +187,22 @@ func (s *Server) instrument(path string, lim *limiter, method string, h http.Han
 			}
 		}
 	})
+}
+
+// slowdown waits out the test-only handler delay on bounded endpoints,
+// returning ctx's error if the request ends first.
+func (s *Server) slowdown(ctx context.Context, bounded bool) error {
+	if s.delay <= 0 || !bounded {
+		return nil
+	}
+	t := time.NewTimer(s.delay)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // sampleTrace decides whether the next bounded-endpoint request gets a

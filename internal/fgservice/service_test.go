@@ -27,7 +27,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // testStore loads the checked-in profile store so handler tests exercise
 // pure prediction arithmetic — no simulation, so goldens don't rot when
 // the simulator changes.
-func testStore(t *testing.T) *profile.Store {
+func testStore(t testing.TB) *profile.Store {
 	t.Helper()
 	doc, err := core.LoadStore(filepath.Join("testdata", "store.json"))
 	if err != nil {

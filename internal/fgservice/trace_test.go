@@ -290,40 +290,76 @@ type replayBody struct{ r *strings.Reader }
 func (b replayBody) Read(p []byte) (int, error) { return b.r.Read(p) }
 func (b replayBody) Close() error               { return nil }
 
+// warmServe builds a server with tracing disabled by sampling, warms
+// its response cache with one request for body on path, and returns a
+// function serving that same request again through the full middleware
+// stack — every call a pure cache hit. The request object and body are
+// reused across calls so the measurement covers the server, not the
+// test's request construction.
+func warmServe(tb testing.TB, path, body string) func() {
+	tb.Helper()
+	s, err := New(Options{Store: testStore(tb), TraceSample: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h := s.Handler()
+	r := strings.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, path, nil)
+	req.Header.Set("Content-Type", "application/json")
+	req.Body = replayBody{r: r}
+	warm := httptest.NewRecorder()
+	h.ServeHTTP(warm, req)
+	if warm.Code != http.StatusOK {
+		tb.Fatalf("warmup status %d: %s", warm.Code, warm.Body)
+	}
+	w := &discardRW{h: make(http.Header)}
+	return func() {
+		r.Seek(0, io.SeekStart)
+		h.ServeHTTP(w, req)
+	}
+}
+
 // TestPredictWarmPathAllocs is the hot-path allocation gate for the
 // full middleware stack: a warm (cache-hit) singular /predict with
 // tracing disabled by sampling. The request-ID machinery contributes
 // exactly two of these allocations (the ID string and the shared
-// header value slice); the rest is the pre-existing request plumbing
-// (timeout context, buffered response, handler goroutine, decode and
-// encode scratch). The budget has modest headroom over the measured
-// cost so a regression that adds per-request garbage trips it while
-// scheduler jitter does not.
+// header value slice); the rest is the request plumbing (timeout
+// context, status-capturing writer, decode and encode scratch). The
+// budget has modest headroom over the measured cost so a regression
+// that adds per-request garbage trips it while scheduler jitter does
+// not.
 func TestPredictWarmPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under the race detector")
 	}
-	s, err := New(Options{Store: testStore(t), TraceSample: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := s.Handler()
-	// Warm the response cache so every measured run is a pure hit.
-	if rec := postJSON(t, h, "/predict", goodPredict); rec.Code != http.StatusOK {
-		t.Fatalf("warmup status %d: %s", rec.Code, rec.Body)
-	}
-
-	body := strings.NewReader(goodPredict)
-	req := httptest.NewRequest(http.MethodPost, "/predict", nil)
-	req.Header.Set("Content-Type", "application/json")
-	req.Body = replayBody{r: body}
-	w := &discardRW{h: make(http.Header)}
-	per := testing.AllocsPerRun(200, func() {
-		body.Seek(0, io.SeekStart)
-		h.ServeHTTP(w, req)
-	})
-	const budget = 48.0
+	serve := warmServe(t, "/predict", goodPredict)
+	per := testing.AllocsPerRun(200, serve)
+	const budget = 36.0
 	if per > budget {
 		t.Errorf("warm /predict allocates %.1f objects per request, want <= %.0f", per, budget)
+	}
+}
+
+// BenchmarkServePredictWarm measures one warm singular /predict through
+// the full handler stack (middleware, decode, cache hit, encode) with
+// tracing off — the per-request overhead the prediction arithmetic
+// rides on.
+func BenchmarkServePredictWarm(b *testing.B) {
+	serve := warmServe(b, "/predict", goodPredict)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+}
+
+// BenchmarkServeSelectWarm is BenchmarkServePredictWarm for a warm
+// singular /select, whose larger response weighs the encode layer.
+func BenchmarkServeSelectWarm(b *testing.B) {
+	serve := warmServe(b, "/select", `{"app":"kmeans","size":"512MB"}`)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
 	}
 }
